@@ -145,11 +145,12 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Run `ops`; `keep` records them (the timed phase) or only checks
-    /// them (warm-up).
-    pub fn run(&mut self, ops: &[Op], keep: bool) {
+    /// Run `ops`, the first of which is operation `first` of the list;
+    /// `keep` records them (the timed phase) or only checks them
+    /// (warm-up).
+    pub fn run(&mut self, ops: &[Op], first: usize, keep: bool) {
         for (i, op) in ops.iter().enumerate() {
-            let rec = self.run_op(i, op, keep);
+            let rec = self.run_op(first + i, op, keep);
             if keep {
                 self.log.records.push(rec);
             } else if let Some(f) = rec.failure {

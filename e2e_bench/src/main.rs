@@ -14,6 +14,7 @@
 
 mod drive;
 mod layers;
+mod pin;
 mod setup;
 mod stats;
 mod trace;
@@ -29,16 +30,23 @@ use std::time::Instant;
 use trace::{Shadow, SpanLog};
 use workload::{timed_ops, warmup_ops, Op, Plane, Workload, KINDS};
 
-/// Full set-ups per run; `setup_s` is their median.
+/// Full set-ups per run; `setup_s` is their median. The timed
+/// operations run in as many blocks, one after each set-up.
 const SETUPS: usize = 3;
 /// Warm-up rounds run until the pool and cache misses of a round no
 /// longer fall below this share of the previous round's (less 2% of a
 /// round's operations), or up to the cap.
 const WARM_LEVEL: f64 = 0.8;
 const WARM_MAX_ROUNDS: usize = 5;
+/// The traced phase replays the timed operations of a run of at most
+/// this many `--seconds` (a prefix of the untraced list): replaying
+/// costs about 2.4 times the untraced work, and a traced run must stay
+/// within its time limit at the benchmark's `--seconds`.
+const TRACED_SECONDS: u64 = 10;
 /// Buffer-pool pages of a `gvdb serve` dataset (`DEFAULT_CACHE_PAGES`).
 const POOL_PAGES: usize = gvdb_storage::db::DEFAULT_CACHE_PAGES;
 
+#[derive(Clone)]
 struct Args {
     gvdb: PathBuf,
     workload: Workload,
@@ -113,6 +121,8 @@ impl Drop for WorkDir {
 struct Phase {
     sessions: Vec<(SessionLog, SpanLog)>,
     wall_s: f64,
+    /// Wall time of each timed block.
+    block_wall_s: Vec<f64>,
     warm_rounds: usize,
     counters: Counters,
 }
@@ -137,9 +147,19 @@ fn run(args: &Args) -> Result<String, String> {
     let gvdb = std::fs::canonicalize(&args.gvdb)
         .map_err(|e| format!("gvdb binary {}: {e}", args.gvdb.display()))?;
     let pristine = work.0.join("pristine.gvdb");
-    let (setups, ds, server) = set_up(w, &gvdb, &work.0, &pristine)?;
-
-    let phase = run_phase(args, &ds.plane, &server.addr, None)?;
+    // The first set-up's server is the one measured. The other set-ups
+    // run between its timed blocks, each with a server of its own that
+    // is stopped again, so the timed operations sample the host over
+    // the whole run rather than one stretch of it.
+    let (first, ds, server) = set_up(w, &gvdb, &work.0, 0, Some(&pristine))?;
+    let mut setups = vec![first];
+    let phase = run_phase(args, &ds.plane, &server, None, SETUPS, &mut |i| {
+        let (times, other, other_server) = set_up(w, &gvdb, &work.0, i, None)?;
+        drop(other_server);
+        remove_db(&other.path);
+        setups.push(times);
+        Ok(())
+    })?;
     let rss_mib = server.peak_rss_mib();
     drop(server);
     let mut failures: Vec<String> = Vec::new();
@@ -236,41 +256,32 @@ fn json_list(items: impl Iterator<Item = String>) -> String {
     format!("[{}]", items.collect::<Vec<_>>().join(","))
 }
 
-/// Set up `SETUPS` times; keep the last dataset and its server, and a
-/// pristine copy of its database at `pristine`.
+/// Set-up `i`: generate and preprocess the dataset into its own
+/// database, copy it to `pristine` if given (untimed), and start a
+/// server on it.
 fn set_up(
     w: Workload,
     gvdb: &Path,
     work: &Path,
-    pristine: &Path,
-) -> Result<(Vec<SetupTimes>, Dataset, Server), String> {
-    let mut setups = Vec::new();
-    for i in 0..SETUPS {
-        let path = work.join(format!("serve{i}.gvdb"));
-        let mut times = SetupTimes::default();
-        let ds = build_dataset(w.dataset(), &path, &mut times);
-        let last = i + 1 == SETUPS;
-        if last {
-            // Untimed: the reference copy for checks and replays.
-            std::fs::copy(&path, pristine).map_err(|e| format!("copy db: {e}"))?;
-        }
-        let (server, open_s) = Server::start(gvdb, &path, w.sessions())?;
-        times.open = open_s;
-        eprintln!(
-            "setup {i}: {:.3} s (generate {:.3}, steps {:?}, open {:.3})",
-            times.total(),
-            times.generate,
-            times.steps,
-            times.open
-        );
-        setups.push(times);
-        if last {
-            return Ok((setups, ds, server));
-        }
-        drop(server);
-        remove_db(&path);
+    i: usize,
+    pristine: Option<&Path>,
+) -> Result<(SetupTimes, Dataset, Server), String> {
+    let path = work.join(format!("serve{i}.gvdb"));
+    let mut times = SetupTimes::default();
+    let ds = build_dataset(w.dataset(), &path, &mut times);
+    if let Some(p) = pristine {
+        std::fs::copy(&path, p).map_err(|e| format!("copy db: {e}"))?;
     }
-    unreachable!("SETUPS is at least 1")
+    let (server, open_s) = Server::start(gvdb, &path, w.sessions())?;
+    times.open = open_s;
+    eprintln!(
+        "setup {i}: {:.3} s (generate {:.3}, steps {:?}, open {:.3})",
+        times.total(),
+        times.generate,
+        times.steps,
+        times.open
+    );
+    Ok((times, ds, server))
 }
 
 /// A fresh server on a pristine copy runs the same warm-up and timed
@@ -292,10 +303,16 @@ fn traced_phase(
         std::fs::copy(pristine, p).map_err(|e| format!("copy db: {e}"))?;
     }
     let (server, _) = Server::start(gvdb, &served, w.sessions())?;
+    let replayed = Args {
+        seconds: args.seconds.min(TRACED_SECONDS),
+        ..args.clone()
+    };
     let open =
         |p: &Path| gvdb_storage::GraphDb::open(p).map_err(|e| format!("open {}: {e}", p.display()));
     let shadow = Shadow::new(open(&shadow_db)?, open(pristine)?);
-    let phase = run_phase(args, &ds.plane, &server.addr, Some(&shadow))?;
+    let phase = run_phase(&replayed, &ds.plane, &server, Some(&shadow), 1, &mut |_| {
+        Ok(())
+    })?;
     drop(server);
     check_phase(&served, pristine, &phase, failures)?;
     let probed = missing_classes(&phase);
@@ -414,6 +431,10 @@ fn run_record(
             "server",
             JsonObj::new()
                 .int("workers", w.sessions() as u64)
+                .raw(
+                    "pinned_cpu",
+                    pin::chosen_cpu().map_or("null".into(), |c| c.to_string()),
+                )
                 .int("pool_pages", POOL_PAGES as u64)
                 .int("page_bytes", gvdb_storage::PAGE_SIZE as u64)
                 .raw("cache", cache_json())
@@ -435,6 +456,7 @@ fn run_record(
         .int("sessions", w.sessions() as u64)
         .int("warmup_rounds", phase.warm_rounds as u64)
         .num("timed_wall_s", phase.wall_s)
+        .raw("blocks", blocks_json(phase, records))
         .raw("ops", kinds.raw("view_plans", plans.build()).build())
         .raw(
             "counters",
@@ -461,38 +483,84 @@ fn run_record(
         )
 }
 
+/// Per timed block: its wall time and its median view and first-rows
+/// times, to tell drift within a run from drift between runs.
+fn blocks_json(phase: &Phase, records: &[OpRecord]) -> String {
+    let n = phase.block_wall_s.len();
+    json_list(phase.block_wall_s.iter().enumerate().map(|(b, wall)| {
+        let part = &records[records.len() * b / n..records.len() * (b + 1) / n];
+        let views = || part.iter().filter(|r| r.kind == 0 && r.failure.is_none());
+        JsonObj::new()
+            .num("wall_s", *wall)
+            .num(
+                "view_p50_ms",
+                median(&views().map(|r| r.ms).collect::<Vec<_>>()),
+            )
+            .num(
+                "ttfr_p50_ms",
+                median(&views().filter_map(|r| r.ttfr_ms).collect::<Vec<_>>()),
+            )
+            .build()
+    }))
+}
+
 fn metric(value: f64, unit: &str) -> String {
     JsonObj::new().num("value", value).str("unit", unit).build()
 }
 
 /// Warm up until the counters level off, then run the timed operations
-/// of every session concurrently.
+/// of every session concurrently, the sessions and the server pinned to
+/// one CPU (see `pin`). The timed operations run in `blocks` consecutive
+/// parts; `between(b)` runs, unpinned and untimed, before part `b > 0`.
 fn run_phase(
     args: &Args,
     plane: &Plane,
-    addr: &str,
+    server: &Server,
     shadow: Option<&Shadow>,
+    blocks: usize,
+    between: &mut dyn FnMut(usize) -> Result<(), String>,
 ) -> Result<Phase, String> {
     let w = args.workload;
+    let addr = server.addr.as_str();
+    let cpu = pin::chosen_cpu();
+    if let Some(cpu) = cpu {
+        pin::pin_process(server.pid(), cpu)?;
+    }
     let mut sessions = (0..w.sessions())
         .map(|_| Session::open(addr, shadow))
         .collect::<Result<Vec<_>, _>>()?;
-    let run_all = |sessions: &mut Vec<Session>, ops: Vec<Vec<Op>>, keep: bool| {
+    let run_all = |sessions: &mut Vec<Session>, ops: Vec<&[Op]>, first: usize, keep: bool| {
         std::thread::scope(|sc| {
-            for (sess, ops) in sessions.iter_mut().zip(ops) {
-                sc.spawn(move || sess.run(&ops, keep));
-            }
-        });
+            let handles: Vec<_> = sessions
+                .iter_mut()
+                .zip(ops)
+                .map(|(sess, ops)| {
+                    sc.spawn(move || {
+                        cpu.map_or(Ok(()), |c| pin::pin_thread(0, c))?;
+                        sess.run(ops, first, keep);
+                        Ok::<(), String>(())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .try_for_each(|h| h.join().expect("session thread panicked"))
+        })
     };
 
     let mut last = Counters::read(addr)?;
     let mut prev: Option<Counters> = None;
     let mut rounds = 0;
     while rounds < WARM_MAX_ROUNDS {
-        let ops = (0..w.sessions())
+        let ops: Vec<Vec<Op>> = (0..w.sessions())
             .map(|s| warmup_ops(w, plane, args.seed, s, rounds))
             .collect();
-        run_all(&mut sessions, ops, false);
+        run_all(
+            &mut sessions,
+            ops.iter().map(Vec::as_slice).collect(),
+            0,
+            false,
+        )?;
         rounds += 1;
         let now = Counters::read(addr)?;
         let d = now.since(&last);
@@ -518,14 +586,26 @@ fn run_phase(
         s.spans.enabled = shadow.is_some();
     }
     let before = Counters::read(addr)?;
-    let t = Instant::now();
-    run_all(&mut sessions, ops, true);
-    let wall_s = t.elapsed().as_secs_f64();
+    let mut block_wall_s = Vec::new();
+    for b in 0..blocks {
+        if b > 0 {
+            between(b)?;
+        }
+        // Block `b` of each session: operations [n·b/blocks, n·(b+1)/blocks).
+        let part = |o: &Vec<Op>| (o.len() * b / blocks, o.len() * (b + 1) / blocks);
+        let first = part(&ops[0]).0;
+        let block = ops.iter().map(|o| &o[part(o).0..part(o).1]).collect();
+        let t = Instant::now();
+        run_all(&mut sessions, block, first, true)?;
+        block_wall_s.push(t.elapsed().as_secs_f64());
+    }
+    let wall_s = block_wall_s.iter().sum();
     let counters = Counters::read(addr)?.since(&before);
     eprintln!("timed phase: {wall_s:.3} s, {counters:?}");
     Ok(Phase {
         sessions: sessions.into_iter().map(Session::close).collect(),
         wall_s,
+        block_wall_s,
         warm_rounds: rounds,
         counters,
     })

@@ -165,6 +165,11 @@ impl Server {
         Ok((server, t.elapsed().as_secs_f64()))
     }
 
+    /// The server's process id.
+    pub fn pid(&self) -> u32 {
+        self.child.id()
+    }
+
     /// Peak resident set (VmHWM) of the server process, in MiB.
     pub fn peak_rss_mib(&self) -> f64 {
         let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id()))
