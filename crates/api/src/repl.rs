@@ -412,18 +412,30 @@ fn parse_epochs(v: &Json) -> Vec<u64> {
         .unwrap_or_default()
 }
 
-/// CRC-32 (IEEE 802.3) — same polynomial as the storage WAL, duplicated
-/// here because this crate is a leaf and must not depend on storage.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Byte-at-a-time lookup table for the reflected IEEE polynomial.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE 802.3) — same polynomial and table as the storage WAL,
+/// duplicated here because this crate is a leaf and must not depend on
+/// storage (`gvdb-replication` tests that the two agree).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+    })
 }
 
 #[cfg(test)]

@@ -71,6 +71,7 @@ fn bench_cold_vs_cached(c: &mut Criterion) {
         stats.entries
     );
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 criterion_group!(benches, bench_cold_vs_cached);

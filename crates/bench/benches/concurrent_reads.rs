@@ -105,6 +105,7 @@ fn bench_concurrent_reads(c: &mut Criterion) {
         shards.iter().map(|s| s.hits + s.misses).collect::<Vec<_>>()
     );
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 criterion_group!(benches, bench_concurrent_reads);

@@ -36,6 +36,7 @@ fn bench_parallelism_sweep(c: &mut Criterion) {
                     let (db, report) = preprocess(&graph, &path, &cfg).expect("preprocess");
                     drop(db);
                     std::fs::remove_file(&path).ok();
+                    gvdb_storage::wal::remove_all(&path).ok();
                     black_box(report.times.total())
                 })
             },

@@ -60,12 +60,27 @@ fn bench_build(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.sample_size(10);
     let labels = labels(20_000);
+    // The edit path: checked `insert` per label.
     group.bench_function("index_20k_labels", |b| {
         b.iter(|| {
             let mut trie = FullTextTrie::new();
             for (i, l) in labels.iter().enumerate() {
                 trie.insert(l, i as u64);
             }
+            black_box(trie.node_count())
+        })
+    });
+    // The load path (`LayerTable::bulk_build`): every label shares
+    // "entity", so the checked inserts above scan a posting list that
+    // grows with the input while the bulk build checks only its tail.
+    group.bench_function("bulk_20k_labels", |b| {
+        b.iter(|| {
+            let trie = FullTextTrie::bulk(
+                labels
+                    .iter()
+                    .enumerate()
+                    .map(|(i, l)| (l.as_str(), i as u64)),
+            );
             black_box(trie.node_count())
         })
     });

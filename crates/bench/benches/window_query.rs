@@ -35,6 +35,7 @@ fn bench_window_sizes(c: &mut Criterion) {
     }
     group.finish();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 fn bench_paged_vs_inmemory(c: &mut Criterion) {
@@ -88,6 +89,7 @@ fn bench_paged_vs_inmemory(c: &mut Criterion) {
     group.finish();
     drop(db);
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 criterion_group!(benches, bench_window_sizes, bench_paged_vs_inmemory);

@@ -72,5 +72,6 @@ fn main() {
         }
         println!();
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 }

@@ -270,5 +270,6 @@ mod tests {
         );
         drop(db);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 }

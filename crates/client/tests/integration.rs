@@ -138,6 +138,7 @@ fn every_typed_method_round_trips() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -236,6 +237,7 @@ fn streamed_window_matches_buffered_and_reuses_connections() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// The negotiated compact encoding is invisible above the wire: a
@@ -316,6 +318,7 @@ fn packed_negotiation_is_transparent_and_plain_frames_demotes_it() {
     );
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -380,6 +383,7 @@ fn idle_pooled_connections_are_visible_in_server_stats() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -422,6 +426,7 @@ fn mutation_gate_returns_typed_kinds() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -455,6 +460,7 @@ fn read_only_datasets_reject_mutations_with_403() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// The attribute query engine over real TCP: filtered windows (buffered,
@@ -563,4 +569,5 @@ fn filtered_windows_and_aggregates_round_trip() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }

@@ -199,7 +199,9 @@ impl CachedWindow {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Ordered so the overlap scan can break ties between equally covering
+/// entries the same way in every process (`HashMap` order differs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct CacheKey {
     layer: usize,
     qx0: i64,
@@ -394,7 +396,12 @@ impl WindowCache {
                     continue;
                 }
                 let covered = entry.rect.intersection_area(window) / area;
-                if covered >= min_fraction && best.as_ref().is_none_or(|(f, ..)| covered > *f) {
+                // Ties go to the smaller key: shard ticks are per shard,
+                // so recency cannot order entries of different shards.
+                let better = best
+                    .as_ref()
+                    .is_none_or(|(f, _, k, ..)| covered > *f || (covered == *f && key < k));
+                if covered >= min_fraction && better {
                     best = Some((covered, idx, *key, entry.rect, entry.value.clone()));
                 }
             }
@@ -655,6 +662,30 @@ mod tests {
         // Fraction threshold respected.
         let far = Rect::new(100.0, 100.0, 110.0, 110.0);
         assert!(cache.best_overlap(0, &far, 0, 0.1).is_none());
+    }
+
+    #[test]
+    fn best_overlap_tie_is_independent_of_insertion_order() {
+        // Two anchors that each cover exactly half of the window.
+        let left = Rect::new(0.0, 0.0, 10.0, 10.0);
+        let right = Rect::new(10.0, 0.0, 20.0, 10.0);
+        let w = Rect::new(5.0, 0.0, 15.0, 10.0);
+        let mut picks = Vec::new();
+        // Each cache's maps get fresh hash keys; repeat so a choice that
+        // follows iteration order would almost surely differ somewhere.
+        for order in [[left, right], [right, left]].repeat(4) {
+            for shards in [1, 8] {
+                let cache = WindowCache::new(CacheConfig {
+                    shards,
+                    ..CacheConfig::default()
+                });
+                for r in order {
+                    cache.insert(0, &r, 0, cached(2));
+                }
+                picks.push(cache.best_overlap(0, &w, 0, 0.5).expect("tie").0);
+            }
+        }
+        assert!(picks.iter().all(|p| *p == left), "{picks:?}");
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! let view = session.view(&qm).unwrap();
 //! assert!(view.total_ms() >= 0.0);
 //! # std::fs::remove_file(&path).ok();
+//! # gvdb_storage::wal::remove_all(&path).ok();
 //! ```
 
 pub mod birdview;

@@ -365,6 +365,29 @@ mod tests {
             .unwrap();
         assert_eq!(all.len() as u64, layer0.row_count());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
+    }
+
+    #[test]
+    fn cleanup_leaves_no_wal_files_behind() {
+        let g = planted_partition(2, 30, 4.0, 0.5, 5);
+        let path = tmp("cleanup");
+        let (mut db, _) = preprocess(&g, &path, &PreprocessConfig::default()).unwrap();
+        db.flush().unwrap();
+        drop(db);
+        let leftovers = || {
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            let wal = format!("{name}.wal");
+            std::fs::read_dir(path.parent().unwrap())
+                .unwrap()
+                .filter_map(|e| e.ok()?.file_name().into_string().ok())
+                .filter(|f| *f == name || f.starts_with(&wal))
+                .count()
+        };
+        assert_eq!(leftovers(), 3, "the db and one archive per flush");
+        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).unwrap();
+        assert_eq!(leftovers(), 0);
     }
 
     #[test]
@@ -379,6 +402,7 @@ mod tests {
         let (_db, report) = preprocess(&g, &path, &cfg).unwrap();
         assert_eq!(report.k, 4); // 200 nodes / 50
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -398,6 +422,7 @@ mod tests {
         let hits = db.layer(0).unwrap().search_nodes("lonely");
         assert_eq!(hits.len(), 1);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -412,6 +437,7 @@ mod tests {
         );
         assert!(t.indexing > Duration::ZERO);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -445,7 +471,9 @@ mod tests {
             "database layout must not depend on thread count"
         );
         std::fs::remove_file(&path_seq).ok();
+        gvdb_storage::wal::remove_all(&path_seq).ok();
         std::fs::remove_file(&path_par).ok();
+        gvdb_storage::wal::remove_all(&path_par).ok();
     }
 
     #[test]
@@ -461,6 +489,7 @@ mod tests {
         assert_eq!(report.threads.layout, 2);
         assert!(report.threads.row_building >= 1);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]

@@ -1665,6 +1665,7 @@ mod tests {
         assert!(resp.total_ms() >= resp.client.comm_render_ms);
         assert_eq!(resp.json.edge_count, resp.rows.len());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1688,6 +1689,7 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1702,6 +1704,7 @@ mod tests {
         assert!(qm.window_query(0, &a).unwrap().cache_hit);
         assert!(qm.window_query(0, &b).unwrap().cache_hit);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1733,6 +1736,7 @@ mod tests {
         assert_eq!(after.rows.len(), before.rows.len() + 1);
         assert!(after.rows.iter().any(|(_, r)| &*r.edge_label == "edited"));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     /// Ground truth for a window, straight off the table (no cache).
@@ -1765,6 +1769,7 @@ mod tests {
         assert_eq!(resp.json.edge_count, resp.rows.len());
         assert_eq!(qm.cache_stats().partial_hits, 1);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1781,6 +1786,7 @@ mod tests {
         let resp = qm.window_query(0, &inner).unwrap();
         assert!(resp.cache_hit, "inner window still cached exactly");
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1796,6 +1802,7 @@ mod tests {
         assert_eq!(resp.rows_fetched, 0, "subset pan needs no heap access");
         assert_eq!(*resp.rows, cold_rows(&qm, 0, &small));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1808,6 +1815,7 @@ mod tests {
         assert!(!resp.delta && !resp.cache_hit);
         assert_eq!(qm.cache_stats().partial_hits, 0);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1826,6 +1834,7 @@ mod tests {
         let resp = qm.window_query_anchored(0, &w3, Some(&ghost)).unwrap();
         assert_eq!(*resp.rows, cold_rows(&qm, 0, &w3));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1872,6 +1881,7 @@ mod tests {
         assert_eq!(l0_deleted.rows.len(), l0_before.rows.len());
         assert!(qm.window_query(1, &w).unwrap().cache_hit);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1903,6 +1913,7 @@ mod tests {
         assert!(!resp.delta, "no stale anchor may survive the edit");
         assert!(resp.rows.iter().any(|(_, r)| &*r.edge_label == "fresh"));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1939,6 +1950,7 @@ mod tests {
         qm.delete_row(0, rid).unwrap();
         assert_eq!(qm.layer_epoch(0), 2, "delete bumps too");
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1955,6 +1967,7 @@ mod tests {
         assert!(!qm.window_query(0, &w).unwrap().cache_hit);
         assert!(!qm.window_query(1, &w).unwrap().cache_hit);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1965,6 +1978,7 @@ mod tests {
             Err(StorageError::LayerNotFound(_))
         ));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1982,6 +1996,7 @@ mod tests {
             .iter()
             .any(|(_, r)| r.node1_id == hits[0].node_id || r.node2_id == hits[0].node_id));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1994,6 +2009,7 @@ mod tests {
             assert!(r.node1_id == hits[0].node_id || r.node2_id == hits[0].node_id);
         }
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -2004,5 +2020,6 @@ mod tests {
         let top = qm.window_query(qm.layer_count() - 1, &everything).unwrap();
         assert!(top.rows.len() < l0.rows.len());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 }

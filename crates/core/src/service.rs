@@ -1511,6 +1511,7 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert!(err.message.contains("default"), "{}", err.message);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1537,6 +1538,7 @@ mod tests {
         assert_eq!(meta.source, Source::Hit);
         assert_eq!(graph, &first.response.json.text);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1588,6 +1590,7 @@ mod tests {
         let err = svc.call(&window_req(Some(id))).unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1658,6 +1661,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1691,6 +1695,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1741,6 +1746,7 @@ mod tests {
         };
         assert_eq!(buffered.response.rows.len() as u64, rows);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1781,6 +1787,7 @@ mod tests {
         assert_eq!(trailer.rows, batch.len() as u64);
         assert!(trailer.rows > 0);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -1884,6 +1891,7 @@ mod tests {
         assert!(buffered.response.cache_hit);
         assert_eq!(reassembled, buffered.response.json.text);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     /// Decode every Rows frame in `sink` to a plain graph fragment,
@@ -1991,6 +1999,7 @@ mod tests {
         let reassembled = gvdb_api::reassemble_graph(fragments.iter().map(String::as_str)).unwrap();
         assert_eq!(reassembled, buffered.response.json.text);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     /// Random pans over one dataset: whatever mix of cold, exact-hit and
@@ -2075,6 +2084,7 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -2122,6 +2132,7 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert!(sink.frames.is_empty());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -2231,7 +2242,9 @@ mod tests {
         assert_eq!(by_name("dblp").epochs[0], 0);
 
         std::fs::remove_file(&rdf_path).ok();
+        gvdb_storage::wal::remove_all(&rdf_path).ok();
         std::fs::remove_file(&cite_path).ok();
+        gvdb_storage::wal::remove_all(&cite_path).ok();
     }
 
     // -- the attribute query engine ------------------------------------------
@@ -2427,6 +2440,7 @@ mod tests {
         assert!(saw_delta, "at least one pan should ride the delta path");
         assert!(saw_nonempty, "the predicates should match something");
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -2498,6 +2512,7 @@ mod tests {
         assert_eq!(h.counts.iter().sum::<u64>(), hist.nodes);
         assert!(h.lo <= h.hi);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -2561,6 +2576,7 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert!(sink.frames.is_empty());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -2594,6 +2610,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::BadRequest);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -2647,5 +2664,6 @@ mod tests {
         assert_eq!(ds.chooser.index, 1);
         assert_eq!(ds.chooser.scan, 2);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 }

@@ -284,6 +284,7 @@ mod tests {
         s.pan(50.0, -20.0);
         assert_eq!(s.window(), Rect::new(50.0, -20.0, 150.0, 80.0));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -296,6 +297,7 @@ mod tests {
         assert_eq!(s.window(), Rect::new(0.0, 0.0, 100.0, 100.0));
         assert!((s.zoom() - 1.0).abs() < 1e-12);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -309,6 +311,7 @@ mod tests {
         assert_eq!(s.layer(), 0);
         assert!(s.set_layer(&qm, 999).is_err());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -324,6 +327,7 @@ mod tests {
             assert!(!row.node2_label.starts_with('"'));
         }
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -339,6 +343,7 @@ mod tests {
             .iter()
             .all(|(_, r)| &*r.edge_label != "rdfs:label"));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -366,6 +371,7 @@ mod tests {
         let resp = s.view(&qm).unwrap();
         assert!(!resp.rows.iter().any(|(r, _)| *r == rid));
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -405,6 +411,7 @@ mod tests {
         let third = s.view(&qm).unwrap();
         assert!(third.delta || third.cache_hit);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -428,6 +435,7 @@ mod tests {
         assert_eq!(s.anchor(), anchor);
         assert!(s.view(&qm).unwrap().cache_hit);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -442,6 +450,7 @@ mod tests {
         s.layer_down().unwrap();
         assert!(s.anchor().is_none());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -475,6 +484,7 @@ mod tests {
             "the other layer's cached window survives the edit"
         );
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -495,5 +505,6 @@ mod tests {
         // Zoom back in past native: layer 0.
         assert_eq!(s.zoom_with_auto_layer(&qm, 8192.0).unwrap(), 0);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 }

@@ -285,7 +285,9 @@ mod tests {
         assert_eq!(ws.len(), 1);
 
         std::fs::remove_file(&rdf_path).ok();
+        gvdb_storage::wal::remove_all(&rdf_path).ok();
         std::fs::remove_file(&cite_path).ok();
+        gvdb_storage::wal::remove_all(&cite_path).ok();
     }
 
     #[test]
@@ -315,6 +317,7 @@ mod tests {
         ));
         assert_eq!(ws.len(), 1);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -358,5 +361,6 @@ mod tests {
         let err = ws.resolve(Some("acm")).unwrap_err();
         assert!(err.message.contains("patents"), "{}", err.message);
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 }

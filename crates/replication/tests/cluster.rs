@@ -110,10 +110,7 @@ fn sentinel_set(json: &str) -> std::collections::BTreeSet<u64> {
 fn cleanup(paths: &[&std::path::Path]) {
     for p in paths {
         std::fs::remove_file(p).ok();
-        for seq in 0..200u64 {
-            std::fs::remove_file(gvdb_storage::wal::archive_path(p, seq)).ok();
-        }
-        std::fs::remove_file(gvdb_storage::wal::wal_path(p)).ok();
+        gvdb_storage::wal::remove_all(p).ok();
     }
 }
 

@@ -246,6 +246,7 @@ fn slow_stream_reader_is_disconnected_not_served_by_a_parked_worker() {
     slow.join().unwrap();
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]

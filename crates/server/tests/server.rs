@@ -96,6 +96,7 @@ fn serves_layers_window_search_and_stats() {
     assert!(server.served() >= 6);
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -177,6 +178,7 @@ fn session_pans_ride_the_delta_path_over_http() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -212,6 +214,7 @@ fn concurrent_clients_get_consistent_bodies() {
     assert!(server.served() >= 161);
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -232,6 +235,7 @@ fn wait_returns_when_a_shutdown_handle_fires() {
         "listener must be gone after the handle fires"
     );
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -255,4 +259,5 @@ fn shutdown_joins_and_stops_accepting() {
     };
     assert!(refused, "server must not answer after shutdown");
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }

@@ -149,6 +149,7 @@ fn streamed_window_is_chunked_and_negotiation_works() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -178,6 +179,7 @@ fn zero_row_window_streams_header_and_trailer_only() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -222,6 +224,7 @@ fn pipelined_mixed_streamed_and_buffered_requests_drain_in_order() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// A client that vanishes mid-stream must not wedge the worker: with a
@@ -264,6 +267,7 @@ fn client_disconnect_mid_stream_frees_the_worker() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// A sink that fires one edit the moment the first row batch is emitted —
@@ -361,5 +365,7 @@ fn racing_edit_mid_stream_surfaces_in_the_trailer_epoch() {
     assert!(matches!(buffer.frames.first(), Some(ApiFrame::Header(h)) if h.dataset == "only"));
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
     std::fs::remove_file(&path2).ok();
+    gvdb_storage::wal::remove_all(&path2).ok();
 }

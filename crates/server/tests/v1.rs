@@ -204,6 +204,7 @@ fn v1_flow_over_a_single_manager() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -245,6 +246,7 @@ fn rpc_endpoint_speaks_serialized_requests() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -298,6 +300,7 @@ fn keep_alive_reuses_one_connection() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -337,6 +340,7 @@ fn pipelined_requests_drain_in_order() {
     }
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -373,6 +377,7 @@ fn oversized_headers_are_rejected_not_buffered() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// The mutation gate over raw HTTP: without the configured API key,
@@ -438,6 +443,7 @@ fn mutation_gate_and_flush_over_http() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// Per-dataset read-only mode: a 403 with the Forbidden kind, no key
@@ -472,6 +478,7 @@ fn read_only_dataset_rejects_mutations() {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// The acceptance-criterion test: a workspace with two datasets behind
@@ -679,5 +686,7 @@ fn multi_dataset_serving_with_isolated_mutations() {
 
     server.shutdown();
     std::fs::remove_file(&rdf_path).ok();
+    gvdb_storage::wal::remove_all(&rdf_path).ok();
     std::fs::remove_file(&cite_path).ok();
+    gvdb_storage::wal::remove_all(&cite_path).ok();
 }

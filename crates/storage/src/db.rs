@@ -265,6 +265,7 @@ mod tests {
             assert!(!l2.is_empty());
         }
         std::fs::remove_file(&path).ok();
+        wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -277,6 +278,7 @@ mod tests {
             Err(StorageError::LayerExists(_))
         ));
         std::fs::remove_file(&path).ok();
+        wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -299,6 +301,7 @@ mod tests {
             assert_eq!(db.layer(0).unwrap().row_count(), 51);
         }
         std::fs::remove_file(&path).ok();
+        wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -320,10 +323,8 @@ mod tests {
             assert_eq!(db.checkpoint_seq(), 2);
             assert_eq!(wal::list_archives(&path).unwrap(), vec![1, 2]);
         }
-        for seq in [1, 2] {
-            std::fs::remove_file(wal::archive_path(&path, seq)).ok();
-        }
         std::fs::remove_file(&path).ok();
+        wal::remove_all(&path).ok();
     }
 
     #[test]
@@ -336,5 +337,6 @@ mod tests {
         let db = GraphDb::open(&path).unwrap();
         assert_eq!(db.layer_count(), 0);
         std::fs::remove_file(&path).ok();
+        wal::remove_all(&path).ok();
     }
 }

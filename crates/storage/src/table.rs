@@ -102,8 +102,6 @@ impl LayerTable {
         let mut heap = HeapFile::create(pool)?;
         let mut by_node1 = BTree::create(pool)?;
         let mut by_node2 = BTree::create(pool)?;
-        let mut node_trie = FullTextTrie::new();
-        let mut edge_trie = FullTextTrie::new();
         let mut geoms: Vec<(Rect, u64)> = Vec::new();
         let mut n1: Vec<(u64, u64)> = Vec::new();
         let mut n2: Vec<(u64, u64)> = Vec::new();
@@ -117,11 +115,19 @@ impl LayerTable {
             let rid = rid.to_u64();
             n1.push((row.node1_id, rid));
             n2.push((row.node2_id, rid));
-            node_trie.insert(&row.node1_label, row.node1_id);
-            node_trie.insert(&row.node2_label, row.node2_id);
-            edge_trie.insert(&row.edge_label, rid);
             geoms.push((row.geometry.bbox(), rid));
         }
+        // A node appears once per incident edge; the bulk build indexes
+        // each (id, label) once and keeps `insert`'s posting-list order.
+        let node_trie = FullTextTrie::bulk(
+            rows.iter()
+                .flat_map(|r| [(&*r.node1_label, r.node1_id), (&*r.node2_label, r.node2_id)]),
+        );
+        let edge_trie = FullTextTrie::bulk(
+            rows.iter()
+                .zip(&rids)
+                .map(|(r, rid)| (&*r.edge_label, rid.to_u64())),
+        );
         // Sorted insertion keeps B+-tree construction append-mostly.
         n1.sort_unstable();
         n2.sort_unstable();
@@ -524,6 +530,23 @@ mod tests {
         assert!(hits.contains(&55));
         assert_eq!(t.search_edges("cites").len(), 90);
         assert!(t.search_edges("nonexistent").is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn bulk_build_indexes_every_label_of_a_node() {
+        // Node 1 carries a different label in each of its rows: the
+        // second one takes the bulk build's checked fallback.
+        let (pool, path) = pool("relabel");
+        let mut a = row(1, 2, 0.0, 0.0, 10.0, 0.0);
+        a.node1_label = "alpha shared".into();
+        let mut b = row(3, 1, 100.0, 100.0, 110.0, 100.0);
+        b.node2_label = "beta shared".into();
+        let t = LayerTable::bulk_build(&pool, "layer0", vec![a, b]).unwrap();
+        assert_eq!(t.search_nodes("alpha"), vec![1]);
+        assert_eq!(t.search_nodes("beta"), vec![1]);
+        assert_eq!(t.search_nodes("shared"), vec![1]);
+        assert_eq!(t.search_nodes("node"), vec![2, 3]);
         std::fs::remove_file(&path).ok();
     }
 

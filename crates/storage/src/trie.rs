@@ -14,11 +14,25 @@
 //! Words are lowercased and tokenized on non-alphanumeric boundaries;
 //! suffix indexing is capped at [`MAX_WORD`] bytes per word to bound the
 //! O(len²) suffix blowup on pathological tokens.
+//!
+//! Two ways in. [`FullTextTrie::insert`] is the checked path the edit
+//! panel uses: before appending an id to a posting list it scans the list
+//! for it, so re-indexing a label is harmless. That scan is linear in the
+//! list, and a word every label shares ("entity", "patent") has a list as
+//! long as the layer, so a load through `insert` is quadratic.
+//! [`FullTextTrie::bulk`] is the load path: it indexes each distinct
+//! `(id, label)` pair once, and an id it has not seen before cannot be in
+//! any posting list yet, so the only duplicate possible is the id it
+//! appended a moment ago for an earlier occurrence of the same suffix in
+//! the same label: a check of the list's tail suffices. Pairs are visited
+//! in order, so every posting list keeps its first-insertion order and
+//! the trie (and its saved blob) is identical to the one `insert` builds.
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, PAGE_SIZE};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// Longest word prefix whose suffixes are indexed.
 pub const MAX_WORD: usize = 32;
@@ -49,18 +63,44 @@ impl FullTextTrie {
         self.nodes.len()
     }
 
-    /// Index `label` under `id`. Idempotence is not enforced; callers index
-    /// each label/id pair once.
+    /// Build a trie from `(label, id)` pairs, equal to inserting them in
+    /// order with [`FullTextTrie::insert`] but linear in the input: a
+    /// repeated pair is skipped, a new id skips the posting-list scan, and
+    /// only an id seen before under another label takes the checked path.
+    pub fn bulk<'a>(pairs: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
+        let mut trie = FullTextTrie::new();
+        let mut first_label: HashMap<u64, &str> = HashMap::new();
+        for (label, id) in pairs {
+            match first_label.entry(id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(label);
+                    trie.index(label, id, true);
+                }
+                Entry::Occupied(seen) if *seen.get() == label => {}
+                Entry::Occupied(_) => trie.insert(label, id),
+            }
+        }
+        trie
+    }
+
+    /// Index `label` under `id`. Inserting a pair that is already indexed
+    /// changes nothing.
     pub fn insert(&mut self, label: &str, id: u64) {
+        self.index(label, id, false);
+    }
+
+    /// `fresh`: `id` is in no posting list yet, so only the tail can hold
+    /// it (see the module doc).
+    fn index(&mut self, label: &str, id: u64, fresh: bool) {
         for word in tokenize(label) {
             let word = &word[..word.len().min(MAX_WORD)];
             for start in 0..word.len() {
-                self.insert_suffix(&word[start..], id);
+                self.insert_suffix(&word[start..], id, fresh);
             }
         }
     }
 
-    fn insert_suffix(&mut self, suffix: &[u8], id: u64) {
+    fn insert_suffix(&mut self, suffix: &[u8], id: u64, fresh: bool) {
         let mut cur = 0usize;
         for &b in suffix {
             let next = match self.nodes[cur].children.get(&b) {
@@ -75,7 +115,8 @@ impl FullTextTrie {
             cur = next;
         }
         // Keep ids deduplicated (a label can repeat a word/suffix).
-        if self.nodes[cur].ids.last() != Some(&id) && !self.nodes[cur].ids.contains(&id) {
+        let ids = &self.nodes[cur].ids;
+        if ids.last() != Some(&id) && (fresh || !ids.contains(&id)) {
             self.nodes[cur].ids.push(id);
         }
     }

@@ -41,17 +41,30 @@ const WAL_MAGIC: u32 = 0x6776_574C; // "gvWL" (v1: no seq, no meta)
 const WAL_MAGIC_V2: u32 = 0x6776_574D; // "gvWM" (v2: seq + opaque meta)
 const COMMIT_MAGIC: u32 = 0x636F_6D74; // "comt"
 
-/// CRC-32 (IEEE 802.3, bitwise implementation — cold path, clarity wins).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Byte-at-a-time lookup table for the reflected IEEE polynomial: every
+/// flush CRCs its whole checkpoint (tens of MiB after preprocessing), so
+/// each byte costs one lookup, not eight shift steps.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE 802.3).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+    })
 }
 
 /// WAL file path for a database path.
@@ -179,6 +192,13 @@ pub fn remove(db_path: &Path) -> Result<()> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
         Err(e) => Err(StorageError::Io(e)),
     }
+}
+
+/// Remove the active WAL and every archived checkpoint of `db_path`: what
+/// a caller deleting a database must remove besides the database file.
+pub fn remove_all(db_path: &Path) -> Result<()> {
+    remove(db_path)?;
+    retain_archives(db_path, 0).map(drop)
 }
 
 /// Archive file path for checkpoint `seq`: `<db>.wal.<seq>`.

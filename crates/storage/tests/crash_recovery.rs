@@ -85,6 +85,7 @@ fn committed_wal_is_replayed_on_open() {
         .contains(&1000));
     assert!(!wal::wal_path(&path).exists(), "WAL removed after recovery");
     std::fs::remove_file(&path).ok();
+    wal::remove_all(&path).ok();
 }
 
 /// Simulate "crash during WAL write": a torn WAL must be discarded and the
@@ -104,6 +105,7 @@ fn torn_wal_is_ignored_and_old_state_served() {
     assert_eq!(db.layer(0).unwrap().row_count(), 20);
     assert!(!wal::wal_path(&path).exists(), "torn WAL cleaned up");
     std::fs::remove_file(&path).ok();
+    wal::remove_all(&path).ok();
 }
 
 /// Flush twice with edits between: each checkpoint supersedes the last and
@@ -122,6 +124,7 @@ fn successive_checkpoints_leave_no_wal() {
     let db = GraphDb::open(&path).unwrap();
     assert_eq!(db.layer(0).unwrap().row_count(), 11);
     std::fs::remove_file(&path).ok();
+    wal::remove_all(&path).ok();
 }
 
 /// Follower killed mid-apply: a shipped checkpoint whose local WAL write
@@ -176,10 +179,8 @@ fn follower_killed_mid_apply_recovers_to_complete_checkpoint() {
     }
 
     for p in [&leader, &follower] {
-        for seq in wal::list_archives(p).unwrap() {
-            std::fs::remove_file(wal::archive_path(p, seq)).ok();
-        }
         std::fs::remove_file(p).ok();
+        wal::remove_all(p).ok();
     }
 }
 
@@ -197,4 +198,5 @@ fn create_clears_stale_wal() {
     assert_eq!(db.layer_count(), 0);
     assert!(!wal::wal_path(&path).exists());
     std::fs::remove_file(&path).ok();
+    wal::remove_all(&path).ok();
 }

@@ -86,4 +86,5 @@ fn main() {
     assert!(after <= before);
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }

@@ -94,4 +94,5 @@ fn main() {
     );
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }

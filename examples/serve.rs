@@ -156,7 +156,9 @@ fn main() {
     println!("\nself-demo complete over ONE keep-alive connection (pass --serve to keep the server running)");
     server.shutdown();
     std::fs::remove_file(&rdf_path).ok();
+    gvdb_storage::wal::remove_all(&rdf_path).ok();
     std::fs::remove_file(&cite_path).ok();
+    gvdb_storage::wal::remove_all(&cite_path).ok();
 }
 
 /// A minimal keep-alive HTTP client for the self-demo.

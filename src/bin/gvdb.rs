@@ -687,6 +687,7 @@ fn cmd_bench_smoke(args: &[String]) -> Result<(), String> {
     bench_cluster(Path::new(&path), &bounds, cluster_out)?;
 
     std::fs::remove_file(&path).ok();
+    graphvizdb::storage::wal::remove_all(&path).ok();
     Ok(())
 }
 
@@ -1048,6 +1049,7 @@ fn bench_cluster(
     drop(followers);
     for copy in &copies {
         std::fs::remove_file(copy).ok();
+        graphvizdb::storage::wal::remove_all(copy).ok();
     }
 
     let json = format!(

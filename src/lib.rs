@@ -48,6 +48,7 @@
 //! let view = session.view(&qm).unwrap();
 //! println!("{} nodes, {} edges in view", view.json.node_count, view.json.edge_count);
 //! # std::fs::remove_file(&path).ok();
+//! # graphvizdb::storage::wal::remove_all(&path).ok();
 //! ```
 
 pub use gvdb_abstract as abstraction;

@@ -79,6 +79,7 @@ fn concurrent_sessions_share_one_database() {
     }
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -185,6 +186,7 @@ fn concurrent_sessions_hammer_one_cached_query_manager() {
     );
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// A sentinel edge the writer inserts: edit `k` lands inside the strip
@@ -332,6 +334,7 @@ fn readers_never_observe_a_stale_or_torn_window() {
     );
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 /// Writer + readers with deletes mixed in: epochs advance by exactly one
@@ -423,6 +426,7 @@ fn insert_delete_churn_keeps_epochs_and_stats_coherent() {
     assert!(total.hits + total.misses > 0);
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -571,6 +575,7 @@ fn run_connection_churn(budget: Duration) {
 
     server.shutdown();
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]

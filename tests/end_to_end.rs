@@ -79,6 +79,7 @@ fn full_lifecycle_wikidata_like() {
     assert_eq!(got.rows.len(), expected);
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -153,6 +154,7 @@ fn keyword_search_then_navigate_then_edit() {
     assert_eq!(hits.len(), 2, "both new nodes searchable after reopen");
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -183,6 +185,7 @@ fn multi_level_navigation_is_consistent() {
     assert_eq!(session.window().width(), 2_000.0);
 
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -211,6 +214,7 @@ fn every_layout_choice_works_end_to_end() {
             .unwrap();
         assert_eq!(all.rows.len(), graph.edge_count(), "layout {layout:?}");
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 }
 
@@ -239,6 +243,7 @@ fn summarization_hierarchy_end_to_end() {
         .unwrap();
     assert!(resp.json.text.contains("+"), "supernode labels aggregated");
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }
 
 #[test]
@@ -260,4 +265,5 @@ fn missing_layer_errors_are_clean() {
         other => panic!("expected LayerNotFound, got {other:?}"),
     }
     std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_all(&path).ok();
 }

@@ -188,6 +188,7 @@ proptest! {
         }
         prop_assert_eq!(heap.scan(&pool).unwrap().len(), rids.len());
         std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
     }
 
     /// Trie search agrees with a linear substring scan (word-level).
@@ -300,5 +301,9 @@ static PAN_DB: std::sync::LazyLock<(QueryManager, std::path::PathBuf)> =
             },
         )
         .expect("preprocess");
+        // A static is never dropped, so clean up now: nothing reopens the
+        // file by path, and the open handle keeps it readable once unlinked.
+        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_all(&path).ok();
         (QueryManager::new(db), path)
     });
